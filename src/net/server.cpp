@@ -30,12 +30,15 @@ void ServerHandler::on_malformed(Server&, int, const std::string&) {}
 void ServerHandler::on_tick(Server&) {}
 void ServerHandler::on_disconnect(int) {}
 
+timespec tick_timeout(std::uint64_t tick_us) {
+  timespec timeout{};
+  timeout.tv_sec = static_cast<time_t>(tick_us / 1'000'000);
+  timeout.tv_nsec = static_cast<long>(tick_us % 1'000'000 * 1000);
+  return timeout;
+}
+
 Server::Server(ServerConfig config) : config_(std::move(config)) {
-  int pipe_fds[2];
-  CDSFLOW_EXPECT(::pipe(pipe_fds) == 0, "self-pipe creation failed");
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  set_nonblocking(wake_read_fd_);
+  CDSFLOW_EXPECT(config_.tick_us > 0, "tick_us must be positive");
 
   if (!config_.unix_path.empty()) {
     CDSFLOW_EXPECT(config_.unix_path.size() < sizeof(sockaddr_un{}.sun_path),
@@ -79,15 +82,15 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
 Server::~Server() {
   for (const auto& [fd, conn] : connections_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }
 
-void Server::stop() {
-  const char byte = 0;
-  // Best-effort: a full pipe already guarantees a pending wakeup.
-  [[maybe_unused]] const auto n = ::write(wake_write_fd_, &byte, 1);
+void Server::stop() { stop_signal_.notify(); }
+
+void Server::watch(int fd) {
+  if (std::find(watched_.begin(), watched_.end(), fd) == watched_.end()) {
+    watched_.push_back(fd);
+  }
 }
 
 void Server::send(int conn, const std::vector<std::uint8_t>& bytes) {
@@ -168,15 +171,17 @@ void Server::teardown(ServerHandler& handler, int fd, bool notify) {
 }
 
 void Server::run(ServerHandler& handler) {
-  stopping_ = false;
-  const int timeout_ms =
-      std::max(1, static_cast<int>(config_.tick_us / 1000));
+  watched_.clear();
+  const timespec timeout = tick_timeout(config_.tick_us);
   std::vector<pollfd> fds;
   std::vector<int> dead;
-  while (!stopping_) {
+  bool stopping = false;
+  while (!stopping) {
     fds.clear();
-    fds.push_back({wake_read_fd_, POLLIN, 0});
+    fds.push_back({stop_signal_.fd(), POLLIN, 0});
     fds.push_back({listen_fd_, POLLIN, 0});
+    for (const int fd : watched_) fds.push_back({fd, POLLIN, 0});
+    const std::size_t first_conn = fds.size();
     for (const auto& [fd, conn] : connections_) {
       short events = POLLIN;
       if (conn.outbound_offset < conn.outbound.size() || conn.closing) {
@@ -184,7 +189,7 @@ void Server::run(ServerHandler& handler) {
       }
       fds.push_back({fd, events, 0});
     }
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    const int rc = ::ppoll(fds.data(), fds.size(), &timeout, nullptr);
     if (rc < 0) {
       CDSFLOW_EXPECT(errno == EINTR,
                      std::string("poll failed: ") + std::strerror(errno));
@@ -192,14 +197,13 @@ void Server::run(ServerHandler& handler) {
     }
 
     if ((fds[0].revents & POLLIN) != 0) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-      stopping_ = true;
+      stop_signal_.clear();
+      stopping = true;
     }
     if ((fds[1].revents & POLLIN) != 0) accept_ready(handler);
+    // A readable watched fd needs nothing here: on_tick below drains it.
 
-    for (std::size_t i = 2; i < fds.size(); ++i) {
+    for (std::size_t i = first_conn; i < fds.size(); ++i) {
       const int fd = fds[i].fd;
       const short revents = fds[i].revents;
       if (revents == 0) continue;

@@ -2,10 +2,11 @@
 /// Single-threaded poll() event-loop socket server for the pricing service.
 ///
 /// One thread, one poll() loop, no per-connection threads: the listener, a
-/// self-pipe (for a thread-safe stop()) and every live connection share one
-/// pollfd set. Each connection owns a net::FrameReader, so bytes may arrive
-/// in arbitrary splits; completed frames are handed to the ServerHandler in
-/// stream order. All handler callbacks run on the loop thread -- handler
+/// stop signal (an eventfd, for a thread-safe stop()), the handler's
+/// watched fds and every live connection share one pollfd set. Each
+/// connection owns a net::FrameReader, so bytes may arrive in arbitrary
+/// splits; completed frames are handed to the ServerHandler in stream
+/// order. All handler callbacks run on the loop thread -- handler
 /// state needs no locks, and Server::send()/close_connection() are loop-
 /// thread-only by the same token (stop() is the one thread-safe entry
 /// point). Writes are buffered per connection and flushed via POLLOUT, so a
@@ -16,6 +17,13 @@
 /// reject -- and the connection is torn down after its outbound buffer
 /// drains. Nothing after the first framing error is ever parsed.
 ///
+/// Completion-driven ticks: a handler whose work finishes on other threads
+/// (the pricing service's tenant runtimes) registers those threads' ready
+/// fds with watch() from a callback. A readable watched fd wakes the loop,
+/// which then runs on_tick at once instead of at the next tick_us timeout.
+/// The worker threads never see the Server: they only signal an fd that
+/// the handler's own objects own.
+///
 /// Transports: a unix-domain socket (path; used by tests and the bench --
 /// no port collisions) or TCP on loopback/any (port 0 picks an ephemeral
 /// port, readable via tcp_port()). The socket is bound and listening when
@@ -23,11 +31,14 @@
 
 #pragma once
 
+#include <time.h>
+
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/wake_signal.hpp"
 #include "net/codec.hpp"
 
 namespace cdsflow::net {
@@ -38,10 +49,15 @@ struct ServerConfig {
   /// Used when unix_path is empty: TCP port to bind (0 = ephemeral).
   std::uint16_t tcp_port = 0;
   int backlog = 16;
-  /// poll() timeout; on_tick() fires at least this often even when idle
-  /// (the service uses the tick to harvest completed micro-batches).
+  /// Loop timeout in microseconds, honoured to the microsecond (ppoll);
+  /// must be positive. on_tick() fires at least this often even when idle.
+  /// The service harvests on its runtimes' ready fds (Server::watch), so
+  /// the tick is only its fallback.
   std::uint64_t tick_us = 500;
 };
+
+/// The loop's ppoll() timeout for a tick of `tick_us` microseconds.
+timespec tick_timeout(std::uint64_t tick_us);
 
 class Server;
 
@@ -56,7 +72,8 @@ class ServerHandler {
   /// e.g. a reject sent here, are flushed first).
   virtual void on_malformed(Server& server, int conn,
                             const std::string& error);
-  /// Fires once per loop iteration (after I/O, at least every tick_us).
+  /// Fires once per loop iteration (after I/O, at least every tick_us, and
+  /// at once when a watched fd becomes readable).
   virtual void on_tick(Server& server);
   /// The peer disconnected or the connection was torn down.
   virtual void on_disconnect(int conn);
@@ -74,8 +91,20 @@ class Server {
   /// Runs the event loop on the calling thread until stop().
   void run(ServerHandler& handler);
 
-  /// Thread-safe: wakes the loop and makes run() return (idempotent).
+  /// Thread-safe and nonblocking: wakes the loop and makes run() return
+  /// (idempotent). A stop() before run() makes the next run() return after
+  /// one iteration.
   void stop();
+
+  /// Adds `fd` to the poll set for the rest of the current run() (loop
+  /// thread only, i.e. from handler callbacks; idempotent, so a handler may
+  /// register from every on_tick). A readable watched fd ends the poll
+  /// wait, and on_tick runs in that same iteration. The server never
+  /// reads, writes or closes it: the owner drains it in on_tick (or the
+  /// loop spins) and keeps it open until run() returns. Registering from a
+  /// callback rather than through a handler method keeps the wake when a
+  /// decorator handler forwards only the callbacks.
+  void watch(int fd);
 
   /// Queues bytes to `conn` (loop thread only, i.e. from handler
   /// callbacks). Unknown connection ids are ignored (the peer may have
@@ -108,11 +137,11 @@ class Server {
 
   ServerConfig config_;
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;   // self-pipe: stop() writes, the loop drains
-  int wake_write_fd_ = -1;
+  WakeSignal stop_signal_;  // stop() notifies, the loop clears
   std::uint16_t tcp_port_ = 0;
   std::map<int, Connection> connections_;
-  bool stopping_ = false;
+  /// Handler fds polled this run (see watch()); cleared when run() starts.
+  std::vector<int> watched_;
 };
 
 }  // namespace cdsflow::net

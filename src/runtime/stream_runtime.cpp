@@ -13,42 +13,54 @@ namespace cdsflow::runtime {
 
 namespace stream_detail {
 
-void BatchCollector::put(BatchResult result) {
+bool BatchCollector::put(BatchResult result) {
   MutexLock lock(mutex_);
-  results_.push_back(std::move(result));
+  ++count_;
+  const std::size_t index = result.index;
+  if (index >= slots_.size()) slots_.resize(index + 1);
+  if (slots_[index]) {
+    duplicated_ = true;
+    return false;
+  }
+  slots_[index] = std::move(result);
+  const std::size_t before = ready_end_;
+  while (ready_end_ < slots_.size() && slots_[ready_end_]) ++ready_end_;
+  return ready_end_ > before;
 }
 
 std::vector<BatchResult> BatchCollector::take() {
   MutexLock lock(mutex_);
-  std::sort(results_.begin(), results_.end(),
-            [](const BatchResult& a, const BatchResult& b) {
-              return a.index < b.index;
-            });
-  for (std::size_t i = 0; i < results_.size(); ++i) {
-    CDSFLOW_ASSERT(results_[i].index == i,
-                   "micro-batch merge lost or duplicated a batch");
-  }
-  return std::move(results_);
+  CDSFLOW_ASSERT(!duplicated_ && ready_end_ == slots_.size(),
+                 "micro-batch merge lost or duplicated a batch");
+  std::vector<BatchResult> batches;
+  batches.reserve(slots_.size());
+  for (auto& slot : slots_) batches.push_back(std::move(*slot));
+  slots_.clear();
+  ready_end_ = 0;
+  return batches;
 }
 
 std::vector<BatchResult> BatchCollector::peek_ready(std::size_t begin) const {
   MutexLock lock(mutex_);
-  // results_ is small and unsorted (lanes complete out of order); walk the
-  // contiguous index run from `begin` with a linear probe per step.
   std::vector<BatchResult> ready;
-  for (std::size_t want = begin;; ++want) {
-    const auto it =
-        std::find_if(results_.begin(), results_.end(),
-                     [want](const BatchResult& r) { return r.index == want; });
-    if (it == results_.end()) break;
-    ready.push_back(*it);
+  if (begin >= ready_end_) return ready;
+  ready.reserve(ready_end_ - begin);
+  for (std::size_t i = begin; i < ready_end_; ++i) {
+    const BatchResult& batch = *slots_[i];
+    BatchResult& copy = ready.emplace_back();
+    copy.index = batch.index;
+    copy.lane = batch.lane;
+    copy.pricing_seconds = batch.pricing_seconds;
+    copy.done = batch.done;
+    copy.results = batch.results;
+    copy.sensitivities = batch.sensitivities;
   }
   return ready;
 }
 
 std::size_t BatchCollector::count() const {
   MutexLock lock(mutex_);
-  return results_.size();
+  return count_;
 }
 
 }  // namespace stream_detail
@@ -169,7 +181,7 @@ void StreamRuntime::submit_batch(std::vector<QuoteEvent> events) {
       out.latency_seconds.push_back(
           std::chrono::duration<double>(t1 - event.ingest).count());
     }
-    collector_.put(std::move(out));
+    if (collector_.put(std::move(out))) ready_.notify();
   }));
 }
 
@@ -325,6 +337,9 @@ StreamReport StreamRuntime::finish() {
 }
 
 std::vector<stream_detail::BatchResult> StreamRuntime::poll_batches() {
+  // Clear before peeking: a batch that lands after the peek notifies again
+  // (see common/wake_signal.hpp), so no completion goes unannounced.
+  ready_.clear();
   auto ready = collector_.peek_ready(next_polled_batch_);
   next_polled_batch_ += ready.size();
   return ready;

@@ -22,7 +22,9 @@
 ///                  (StreamPricer replica)    then update *every* replica
 ///                           |                incrementally
 ///                  BatchCollector.put(index, results)
-///                           |
+///                           |      extended the ready prefix?
+///                           |      -> ready_fd() readable, a live
+///                           |      consumer wakes and poll_batches()
 ///                  finish(): concatenate batches in index order
 ///                  == event ingest order, whatever order lanes finished in
 ///
@@ -53,8 +55,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +66,7 @@
 #include "cds/curve.hpp"
 #include "cds/stream_pricer.hpp"
 #include "common/thread_annotations.hpp"
+#include "common/wake_signal.hpp"
 #include "engines/engine.hpp"
 #include "runtime/ingest_queue.hpp"
 #include "runtime/replica_pool.hpp"
@@ -150,27 +155,40 @@ struct BatchResult {
   std::vector<double> latency_seconds;
 };
 
-/// Thread-safe store of priced micro-batches, merged back in batch-index
-/// order regardless of completion order -- the streaming counterpart of the
-/// batch runtime's shard merge.
+/// Thread-safe reorder buffer of priced micro-batches, merged back in
+/// batch-index order regardless of completion order -- the streaming
+/// counterpart of the batch runtime's shard merge. Batch i lives in slot i,
+/// and a cursor marks the end of the contiguous completed prefix, so a live
+/// harvest costs only the batches it hands back.
 class BatchCollector {
  public:
-  /// Any lane, any order. Indices must be unique.
-  void put(BatchResult result) CDSFLOW_EXCLUDES(mutex_);
+  /// Any lane, any order. Indices must be unique: a duplicate is dropped
+  /// here and reported by take(). Returns whether this batch extended the
+  /// contiguous completed prefix, i.e. whether peek_ready() now hands back
+  /// more than before.
+  bool put(BatchResult result) CDSFLOW_EXCLUDES(mutex_);
   /// Hands back all batches sorted by index; asserts they are the
   /// contiguous range 0..n-1 (no batch lost, none duplicated).
   std::vector<BatchResult> take() CDSFLOW_EXCLUDES(mutex_);
   /// Copies the contiguous completed prefix starting at batch index `begin`
   /// (stops at the first gap) without removing anything -- the incremental
   /// counterpart of take() for callers that need results while the stream
-  /// is still live. take()'s contiguity assertion is unaffected.
+  /// is still live. take()'s contiguity assertion is unaffected. The copies
+  /// carry index, lane, timing, results and sensitivities; cs01_ladder and
+  /// latency_seconds stay empty (take() has them).
   std::vector<BatchResult> peek_ready(std::size_t begin) const
       CDSFLOW_EXCLUDES(mutex_);
+  /// Batches put so far, duplicates included.
   std::size_t count() const CDSFLOW_EXCLUDES(mutex_);
 
  private:
   mutable Mutex mutex_;
-  std::vector<BatchResult> results_ CDSFLOW_GUARDED_BY(mutex_);
+  /// Slot i holds batch index i once it has arrived.
+  std::deque<std::optional<BatchResult>> slots_ CDSFLOW_GUARDED_BY(mutex_);
+  /// Slots [0, ready_end_) are all filled.
+  std::size_t ready_end_ CDSFLOW_GUARDED_BY(mutex_) = 0;
+  std::size_t count_ CDSFLOW_GUARDED_BY(mutex_) = 0;
+  bool duplicated_ CDSFLOW_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace stream_detail
@@ -212,8 +230,17 @@ class StreamRuntime {
   /// Because batches are returned only once their whole contiguous prefix
   /// is complete, concatenating the polled results reproduces the merged
   /// event-order result stream incrementally (same determinism guarantee as
-  /// finish(), see file header). Call from one consumer thread.
+  /// finish(), see file header). Call from one consumer thread. The copies
+  /// carry results and (risk mode) sensitivities; cs01_ladder and
+  /// latency_seconds stay with finish()'s report.
   std::vector<stream_detail::BatchResult> poll_batches();
+
+  /// Readable whenever poll_batches() has something new to hand back: a
+  /// lane that extends the contiguous completed prefix signals it, and
+  /// poll_batches() clears it before it looks. Event loops poll() this fd
+  /// to harvest as soon as a micro-batch lands instead of on a timer. Owned
+  /// by the runtime and open until it is destroyed; never read or write it.
+  int ready_fd() const { return ready_.fd(); }
 
   unsigned lanes() const { return lanes_; }
   bool risk_mode() const { return pricer_config_.risk_mode; }
@@ -236,8 +263,11 @@ class StreamRuntime {
   std::vector<std::unique_ptr<cds::StreamPricer>> pricers_;
   IngestQueue queue_;
   std::unique_ptr<ReplicaPool> replicas_;
-  std::unique_ptr<ThreadPool> pool_;
   stream_detail::BatchCollector collector_;
+  /// Lanes notify after a put() that extended the ready prefix; declared
+  /// before pool_ so it outlives every lane task.
+  WakeSignal ready_;
+  std::unique_ptr<ThreadPool> pool_;
 
   /// Dispatcher-confined state: written only by dispatch_loop() on
   /// dispatcher_, read by finish() strictly after dispatcher_.join() (the

@@ -209,6 +209,8 @@ void PricingService::on_tick(net::Server& server) {
   const double now = now_seconds();
   std::size_t pending = 0;
   for (auto& [id, tenant] : sessions_) {
+    // Wake this loop as soon as a micro-batch lands, not at the next tick.
+    server.watch(tenant->ready_fd());
     send_completed(server, tenant->poll(now), id);
     pending += tenant->pending_requests();
   }

@@ -15,8 +15,14 @@
 ///      v                 v
 ///   tenant StreamRuntime ingest (frame order)
 ///      |
-///   on_tick: poll_batches -> per-request result spans -> kResult frames
-///            (status byte says on-time vs deferred)
+///   lanes price micro-batches (lane threads)
+///      |
+///   a batch extends the ready prefix -> runtime ready fd readable
+///      |   (registered with Server::watch from on_tick; the lanes never
+///      |    see the server, only an fd their runtime owns)
+///      v
+///   loop wakes -> on_tick: poll_batches -> per-request result spans ->
+///                 kResult frames (status byte says on-time vs deferred)
 ///
 /// Reject taxonomy (net::RejectReason): codec-level poisoning is kMalformed
 /// with connection teardown (nothing behind a framing error is trustworthy);

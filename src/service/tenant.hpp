@@ -89,6 +89,10 @@ class TenantSession {
   /// Call once, after which the session is done.
   std::vector<Completed> drain(double now_seconds);
 
+  /// Readable when poll() has new micro-batches to harvest (the runtime's
+  /// ready fd; open for the session's lifetime).
+  int ready_fd() const { return runtime_.ready_fd(); }
+
   const TenantSpec& spec() const { return spec_; }
   bool risk() const { return runtime_.risk_mode(); }
   std::size_t hazard_knots() const { return hazard_knots_; }

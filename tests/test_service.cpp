@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,9 +123,8 @@ struct ReplayOutcome {
   std::vector<cds::Sensitivities> greeks;
 };
 
-ReplayOutcome replay_over_socket(const std::string& path, std::uint32_t tenant,
+ReplayOutcome replay_over_socket(net::Client client, std::uint32_t tenant,
                                  const SlicedFeed& sliced, bool risk) {
-  net::Client client = net::Client::connect_unix(path);
   for (const auto& step : sliced.steps) {
     if (step.quote) {
       client.send(net::encode_quote_update(tenant, step.knot, step.rate));
@@ -205,13 +206,22 @@ TEST(ServiceLoopback, BitIdenticalToDirectRuntimeAcrossTenantsAndArrivalOrder) {
     service::PricingService pricing(config, test_interest(), test_hazard());
     std::thread loop([&] { server.run(pricing); });
 
+    // Every client connects (in this pass's order) before any of them
+    // sends: the idle stop fires once all connections are gone, so a client
+    // that connected only after the first one finished would never be
+    // served.
+    std::vector<net::Client> connected;
+    for (std::size_t i = 0; i < tenant_ids.size(); ++i) {
+      connected.push_back(net::Client::connect_unix(path));
+    }
     std::vector<ReplayOutcome> outcomes(tenant_ids.size());
     std::vector<std::thread> clients;
     for (std::size_t i = 0; i < tenant_ids.size(); ++i) {
       const std::size_t at =
           pass == 0 ? i : tenant_ids.size() - 1 - i;  // reversed second pass
-      clients.emplace_back([&, at] {
-        outcomes[at] = replay_over_socket(path, tenant_ids[at], feeds[at],
+      clients.emplace_back([&, i, at] {
+        outcomes[at] = replay_over_socket(std::move(connected[i]),
+                                          tenant_ids[at], feeds[at],
                                           /*risk=*/false);
       });
     }
@@ -243,8 +253,8 @@ TEST(ServiceLoopback, RiskTenantResponsesBitIdenticalToDirectRuntime) {
   service::PricingService pricing(config, test_interest(), test_hazard());
   std::thread loop([&] { server.run(pricing); });
 
-  const ReplayOutcome outcome =
-      replay_over_socket(path, tenant, sliced, /*risk=*/true);
+  const ReplayOutcome outcome = replay_over_socket(
+      net::Client::connect_unix(path), tenant, sliced, /*risk=*/true);
   loop.join();
 
   const auto direct = replay_direct(sliced, small_stream("cpu-batch-risk"));
@@ -361,6 +371,116 @@ TEST(ServiceLoopback, PoisonedStreamGetsRejectThenDisconnect) {
   }
   loop.join();
   EXPECT_EQ(pricing.stats().connections_poisoned, 1u);
+}
+
+TEST(ServiceLoopback, ReplyLeavesWhenTheBatchLandsNotAtTheTick) {
+  const std::string path = unique_socket_path("wake");
+  service::ServiceConfig config;
+  config.stop_when_idle = true;
+  config.tenants.push_back(tenant_spec(1, "cpu-batch"));
+  net::ServerConfig server_config;
+  server_config.unix_path = path;
+  server_config.tick_us = 10'000'000;  // a 10 s tick: only a wake is fast
+  net::Server server(server_config);
+  service::PricingService pricing(config, test_interest(), test_hazard());
+  std::thread loop([&] { server.run(pricing); });
+
+  const SlicedFeed sliced = tenant_feed(1, 8);
+  {
+    net::Client client = net::Client::connect_unix(path);
+    const auto sent = std::chrono::steady_clock::now();
+    client.send(net::encode_price_request(1, 1, sliced.requests[0].options));
+    const net::Frame frame = client.read_frame();
+    const auto waited = std::chrono::steady_clock::now() - sent;
+    EXPECT_EQ(frame.type, net::FrameType::kResult);
+    EXPECT_LT(waited, std::chrono::seconds(2))
+        << "the reply waited for the tick instead of the batch";
+    client.close();
+  }
+  loop.join();  // the disconnect wakes the loop, which then stops idle
+  EXPECT_EQ(pricing.stats().responses, 1u);
+}
+
+TEST(ServiceLoopback, TeardownWithBatchesInFlightIsClean) {
+  const SlicedFeed sliced = tenant_feed(1, 2048);
+  for (const bool server_first : {true, false}) {
+    const std::string path = unique_socket_path("teardown");
+    service::ServiceConfig config;
+    config.tenants.push_back(tenant_spec(1, "cpu-batch"));
+    config.tenants.push_back(tenant_spec(2, "cpu-batch"));
+    auto server = std::make_unique<net::Server>(net::ServerConfig{path});
+    auto pricing = std::make_unique<service::PricingService>(
+        config, test_interest(), test_hazard());
+    std::thread loop([&] { server->run(*pricing); });
+
+    net::Client client = net::Client::connect_unix(path);
+    std::uint32_t request = 0;
+    for (const auto& step : sliced.steps) {
+      if (step.quote) continue;
+      const auto& options = sliced.requests[step.request_index].options;
+      client.send(net::encode_price_request(1, ++request, options));
+      client.send(net::encode_price_request(2, request, options));
+    }
+    // One reply proves the lanes are busy; the rest are still owed.
+    EXPECT_EQ(client.read_frame().type, net::FrameType::kResult);
+    server->stop();
+    loop.join();
+    client.close();
+    // Lanes may still be pricing: they signal their runtime's fd, never the
+    // server, so either destruction order is safe.
+    if (server_first) {
+      server.reset();
+      pricing.reset();
+    } else {
+      pricing.reset();
+      server.reset();
+    }
+  }
+}
+
+// --- the server loop itself ---------------------------------------------------
+
+class NullHandler : public net::ServerHandler {
+ public:
+  void on_frame(net::Server&, int, net::Frame) override {}
+};
+
+TEST(NetServer, TickTimeoutKeepsMicroseconds) {
+  const timespec half_ms = net::tick_timeout(500);
+  EXPECT_EQ(half_ms.tv_sec, 0);
+  EXPECT_EQ(half_ms.tv_nsec, 500'000);
+  const timespec one_us = net::tick_timeout(1);
+  EXPECT_EQ(one_us.tv_sec, 0);
+  EXPECT_EQ(one_us.tv_nsec, 1'000);
+  const timespec mixed = net::tick_timeout(2'000'050);
+  EXPECT_EQ(mixed.tv_sec, 2);
+  EXPECT_EQ(mixed.tv_nsec, 50'000);
+  net::ServerConfig zero{unique_socket_path("tick0")};
+  zero.tick_us = 0;
+  EXPECT_THROW(net::Server{zero}, Error);
+}
+
+TEST(NetServer, StopBeforeRunReturnsAtOnceAndNeverBlocks) {
+  net::ServerConfig config{unique_socket_path("stop")};
+  config.tick_us = 10'000'000;
+  net::Server server(config);
+  // Far more stops than a pipe buffer holds bytes: none may block.
+  for (int i = 0; i < 100'000; ++i) server.stop();
+  NullHandler handler;
+  const auto t0 = std::chrono::steady_clock::now();
+  server.run(handler);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+
+  // The stop was consumed: a second run waits for a stop of its own.
+  const auto t1 = std::chrono::steady_clock::now();
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    server.stop();
+  });
+  server.run(handler);
+  stopper.join();
+  EXPECT_GE(std::chrono::steady_clock::now() - t1,
+            std::chrono::milliseconds(20));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 /// updates included.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <chrono>
 #include <cstddef>
@@ -246,6 +247,65 @@ TEST(BatchCollector, DetectsLostBatch) {
   collector.put(batch_result(0, 0, 1));
   collector.put(batch_result(2, 20, 1));  // index 1 never arrives
   EXPECT_THROW(collector.take(), Error);
+}
+
+TEST(BatchCollector, DetectsDuplicatedBatch) {
+  runtime::stream_detail::BatchCollector collector;
+  EXPECT_TRUE(collector.put(batch_result(0, 0, 1)));
+  EXPECT_TRUE(collector.put(batch_result(1, 10, 1)));
+  EXPECT_FALSE(collector.put(batch_result(1, 99, 1)));  // index 1 again
+  EXPECT_EQ(collector.count(), 3u);  // every put counts, duplicates too
+  // The live view keeps serving the first copy...
+  const auto ready = collector.peek_ready(1);
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].results[0].id, 10);
+  // ...and the final merge refuses the stream.
+  EXPECT_THROW(collector.take(), Error);
+}
+
+TEST(BatchCollector, PutReportsWhenTheReadyPrefixGrows) {
+  runtime::stream_detail::BatchCollector collector;
+  EXPECT_FALSE(collector.put(batch_result(2, 20, 1)));  // gap at 0
+  EXPECT_TRUE(collector.put(batch_result(0, 0, 1)));    // prefix 0..0
+  EXPECT_FALSE(collector.put(batch_result(3, 30, 1)));  // gap at 1
+  EXPECT_TRUE(collector.put(batch_result(1, 10, 1)));   // prefix 0..3
+  EXPECT_EQ(collector.count(), 4u);
+  const auto ready = collector.peek_ready(0);
+  ASSERT_EQ(ready.size(), 4u);
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    EXPECT_EQ(ready[i].index, i);
+  }
+}
+
+TEST(BatchCollector, PeekReadyFromMidStreamStopsAtFirstGap) {
+  runtime::stream_detail::BatchCollector collector;
+  for (const std::size_t index : {0u, 1u, 2u, 4u, 5u}) {
+    auto batch = batch_result(index, static_cast<std::int32_t>(10 * index), 2);
+    batch.latency_seconds = {1e-3, 2e-3};
+    batch.cs01_ladder = {1.0, 2.0};
+    collector.put(std::move(batch));
+  }
+  auto ready = collector.peek_ready(1);
+  ASSERT_EQ(ready.size(), 2u);  // 1 and 2; batch 3 is the gap
+  EXPECT_EQ(ready[0].index, 1u);
+  EXPECT_EQ(ready[1].index, 2u);
+  EXPECT_EQ(ready[1].results[1].id, 21);
+  // The live copy carries only what a harvest reads.
+  EXPECT_TRUE(ready[0].latency_seconds.empty());
+  EXPECT_TRUE(ready[0].cs01_ladder.empty());
+  EXPECT_TRUE(collector.peek_ready(3).empty());   // at the gap
+  EXPECT_TRUE(collector.peek_ready(4).empty());   // past the gap
+  EXPECT_TRUE(collector.peek_ready(99).empty());  // past the end
+
+  collector.put(batch_result(3, 30, 2));
+  ready = collector.peek_ready(3);
+  ASSERT_EQ(ready.size(), 3u);
+  EXPECT_EQ(ready[2].index, 5u);
+  // Peeking removed nothing: take() still has every batch, in full.
+  const auto merged = collector.take();
+  ASSERT_EQ(merged.size(), 6u);
+  EXPECT_EQ(merged[4].latency_seconds.size(), 2u);
+  EXPECT_EQ(merged[4].cs01_ladder.size(), 2u);
 }
 
 // --- stream runtime end to end ----------------------------------------------
@@ -543,6 +603,33 @@ TEST(StreamRuntime, PollBatchesHarvestsEachBatchExactlyOnceInOrder) {
     EXPECT_EQ(polled[i].spread_bps, report.run.results[i].spread_bps)
         << "at " << i;
   }
+}
+
+bool readable(int fd, int timeout_ms) {
+  pollfd entry{fd, POLLIN, 0};
+  return ::poll(&entry, 1, timeout_ms) == 1 && (entry.revents & POLLIN) != 0;
+}
+
+TEST(StreamRuntime, ReadyFdAnnouncesEachHarvest) {
+  runtime::StreamConfig cfg;
+  cfg.lanes = 2;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 60'000'000;  // only full batches flush
+  runtime::StreamRuntime rt(test_interest(), test_hazard(), cfg);
+  EXPECT_FALSE(readable(rt.ready_fd(), 0));  // nothing priced yet
+
+  for (std::int32_t round = 0; round < 3; ++round) {
+    for (std::int32_t i = 0; i < 4; ++i) {  // one full batch
+      ASSERT_TRUE(rt.push(option_with_id(4 * round + i)));
+    }
+    ASSERT_TRUE(readable(rt.ready_fd(), 30'000)) << "round " << round;
+    const auto batches = rt.poll_batches();
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(batches[0].index, static_cast<std::size_t>(round));
+    // Harvested and nothing else in flight: the signal is spent.
+    EXPECT_FALSE(readable(rt.ready_fd(), 0));
+  }
+  EXPECT_EQ(rt.finish().run.results.size(), 12u);
 }
 
 TEST(StreamRuntime, RejectsNonCpuEngines) {
